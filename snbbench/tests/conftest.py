@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
